@@ -64,7 +64,6 @@ def context_fingerprint(
     analysis_library=None,
     objective: str = "area",
     otb_borrow: float = 0.0,
-    gp_method: str = "slsqp",
     max_paths: int = 2_000_000,
     enumeration_threshold: int = 20_000,
 ) -> str:
@@ -78,7 +77,8 @@ def context_fingerprint(
         ),
         "objective": objective,
         "otb_borrow": otb_borrow,
-        "gp_method": gp_method,
+        # Only one GP solver remains; the constant keeps cache keys stable.
+        "gp_method": "slsqp",
         "max_paths": max_paths,
         "enumeration_threshold": enumeration_threshold,
     }
@@ -113,7 +113,6 @@ def sizing_cache_key(
     analysis_library=None,
     objective: str = "area",
     otb_borrow: float = 0.0,
-    gp_method: str = "slsqp",
     max_paths: int = 2_000_000,
     enumeration_threshold: int = 20_000,
     tolerance: float = 2.0,
@@ -126,7 +125,6 @@ def sizing_cache_key(
             analysis_library=analysis_library,
             objective=objective,
             otb_borrow=otb_borrow,
-            gp_method=gp_method,
             max_paths=max_paths,
             enumeration_threshold=enumeration_threshold,
         ),

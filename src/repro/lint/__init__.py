@@ -77,7 +77,7 @@ from .hier import (
     lint_hier,
 )
 from .incremental import RuleCacheStats, RuleResultCache
-from .registry import Rule, all_rules, get_rule, rules_in_groups
+from .registry import Mutant, Rule, all_rules, get_rule, rules_in_groups
 from .reporters import render_json, render_sarif, render_text, sarif_dict
 from .runner import ALL_CIRCUIT_GROUPS, CIRCUIT_GROUPS, lint_circuit
 from .rules_gp import lint_gp
@@ -103,6 +103,7 @@ __all__ = [
     "LintError",
     "LintReport",
     "Location",
+    "Mutant",
     "Rule",
     "Severity",
     "SolveResult",

@@ -104,13 +104,26 @@ _BOTTOM = TimingValue()
 _TOP = TimingValue(reached=True, widened=True, moved=True)
 
 
+def box_bounds(circuit: Circuit) -> Callable[[str], Tuple[float, float]]:
+    """Per-variable width bounds over the circuit's sizing box; names
+    outside the size table get GeometricProgram's own default box."""
+    table = circuit.size_table
+
+    def bounds(name: str) -> Tuple[float, float]:
+        if name in table:
+            var = table[name]
+            return (var.lower, var.upper)
+        return (1e-3, 1e6)
+
+    return bounds
+
+
 def posy_box_bounds(expr, bounds: Callable[[str], Tuple[float, float]]):
     """(lower, upper) of a posynomial over a variable box.
 
     Each monomial is monotone per variable — increasing for positive
     exponents, decreasing for negative — so both bounds are attained at
-    box corners and sum exactly (the posynomial-interval counterpart of
-    ``rules_gp._box_lower_bound``).
+    box corners and sum exactly.
     """
     lo = hi = 0.0
     for mono in expr:
@@ -448,13 +461,7 @@ def screen_feasibility(
     ``provably-infeasible`` implies the engine's first GP solve fails,
     ``provably-feasible`` implies it has a feasible point.
     """
-    table = circuit.size_table
-
-    def box_bounds(name: str) -> Tuple[float, float]:
-        if name in table:
-            var = table[name]
-            return (var.lower, var.upper)
-        return (1e-3, 1e6)  # GeometricProgram's own default box
+    bounds = box_bounds(circuit)
 
     report = LintReport(subject=f"{circuit.name}:interval-sta")
 
@@ -468,7 +475,7 @@ def screen_feasibility(
 
     with trace.span("interval_screen", circuit=circuit.name) as span:
         analysis = IntervalAnalysis(
-            circuit, library, spec.input_slope, box_bounds
+            circuit, library, spec.input_slope, bounds
         )
         result = solve_forward(circuit, analysis)
         widened = bool(result.widened)
@@ -496,7 +503,7 @@ def screen_feasibility(
         for cname, slope, limit, net in _slope_surface(
             circuit, library, spec, analysis
         ):
-            lo, _ = posy_box_bounds(slope, box_bounds)
+            lo, _ = posy_box_bounds(slope, bounds)
             if lo > limit * (1.0 + _EPS):
                 emit(
                     f"minimum achievable slope {lo:.1f} ps exceeds the "
@@ -505,7 +512,7 @@ def screen_feasibility(
                     constraint=cname,
                 )
         for cname, expr, stage_name in _noise_surface(circuit, library, spec):
-            lo, _ = posy_box_bounds(expr, box_bounds)
+            lo, _ = posy_box_bounds(expr, bounds)
             if lo > 1.0 + _EPS:
                 emit(
                     f"charge-sharing ratio is at least {lo:.2f}x the allowed "
@@ -520,7 +527,7 @@ def screen_feasibility(
             verdict = "unknown"
         else:
             verdict = _try_prove_feasible(
-                circuit, library, spec, sink_values, box_bounds
+                circuit, library, spec, sink_values, bounds
             )
 
         span.set_attrs(verdict=verdict, sinks=len(sink_values))
@@ -538,7 +545,7 @@ def screen_feasibility(
 
 
 def _try_prove_feasible(
-    circuit: Circuit, library: ModelLibrary, spec, sink_values, box_bounds
+    circuit: Circuit, library: ModelLibrary, spec, sink_values, bounds
 ) -> str:
     """Point certificate: rerun the propagation with the box collapsed to
     the nominal sizing and check every budget's ``hi`` side."""
@@ -551,7 +558,7 @@ def _try_prove_feasible(
     def point_bounds(name: str) -> Tuple[float, float]:
         width = env.get(name)
         if width is None:
-            lower, upper = box_bounds(name)
+            lower, upper = bounds(name)
             width = (lower * upper) ** 0.5
         return (width, width)
 

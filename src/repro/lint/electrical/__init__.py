@@ -21,7 +21,8 @@ from .model import (
     screen_electrical,
     worst_noise_margin,
 )
-from .mutate import NoiseMutant, noise_mutants
+from ..registry import Mutant
+from .mutate import noise_mutants
 
 __all__ = [
     "DEFAULT_OPTIONS",
@@ -29,8 +30,8 @@ __all__ = [
     "CouplingCert",
     "ElectricalScreen",
     "KeeperCert",
+    "Mutant",
     "PassChainCert",
-    "NoiseMutant",
     "charge_share_certificates",
     "coupling_certificates",
     "keeper_certificates",

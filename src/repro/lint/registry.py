@@ -25,10 +25,15 @@ their dedicated analyzers (:mod:`repro.lint.coverage`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 from ..netlist.fingerprint import FACET_NAMES
 from .diagnostics import Severity
+
+if TYPE_CHECKING:
+    from ..netlist.circuit import Circuit
 
 #: Known rule groups, in report order.
 GROUPS = (
@@ -56,6 +61,21 @@ class Rule:
     doc: str = ""
     check: Optional[Callable] = None
     facets: Tuple[str, ...] = FACET_NAMES
+
+
+class Mutant(NamedTuple):
+    """A seeded defect: ``circuit`` linted with ``options`` must be flagged
+    by ``expected_rule`` and by no other rule of that rule's group.
+
+    The verification-corpus runner (:mod:`repro.lint.corpus`) gates on
+    these; the type lives here, beside :class:`Rule`, so the mutant
+    builders can import it without importing the runner.
+    """
+
+    label: str
+    circuit: "Circuit"
+    options: dict            # full lint options mapping
+    expected_rule: str
 
 
 _REGISTRY: Dict[str, Rule] = {}

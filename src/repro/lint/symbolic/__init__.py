@@ -12,9 +12,10 @@ Layers, bottom up:
   hashing and the per-macro :class:`SliceCertificate`;
 * :mod:`~repro.lint.symbolic.rules` — SVC401-SVC405 on top of the above;
 * :mod:`~repro.lint.symbolic.mutate` — wiring-mutation helpers used by the
-  tests to prove the rules catch planted bugs;
-* :mod:`~repro.lint.symbolic.corpus` — the CI sweep over the full macro
-  database (``python -m repro.lint.symbolic.corpus``).
+  tests to prove the rules catch planted bugs.
+
+The CI sweep over the full macro database is
+``python -m repro.lint.corpus --group symbolic``.
 """
 
 from .extract import (

@@ -255,7 +255,6 @@ class SmartSizer:
         max_paths: int = 2_000_000,
         enumeration_threshold: int = 20_000,
         analysis_library: Optional[ModelLibrary] = None,
-        gp_method: str = "slsqp",
         pre_screen: bool = True,
         cache: Optional[SizingCache] = None,
     ):
@@ -274,8 +273,6 @@ class SmartSizer:
         #: Defaults to the GP's own library.
         self.analyzer = StaticTimingAnalyzer(circuit, analysis_library or library)
         self._analysis_library = analysis_library
-        #: Convex solver for the inner GP ("slsqp" or "barrier").
-        self.gp_method = gp_method
         self._cache_key: Optional[CacheKey] = None
         self._cache_hit_runtime = 0.0
 
@@ -289,7 +286,6 @@ class SmartSizer:
             analysis_library=self._analysis_library,
             objective=self.objective,
             otb_borrow=self.otb_borrow,
-            gp_method=self.gp_method,
             max_paths=self.max_paths,
             enumeration_threshold=self.enumeration_threshold,
             tolerance=tolerance,
@@ -481,7 +477,6 @@ class SmartSizer:
                 otb_borrow=self.otb_borrow,
                 objective=self.objective,
                 analysis_library=self._analysis_library,
-                gp_method=self.gp_method,
             )
             cert = audit.certify(
                 result.widths, cache_key=self._cache_key.key, with_kkt=False
@@ -772,10 +767,9 @@ class SmartSizer:
             with trace.span("iteration", iteration=iteration) as iter_span:
                 gp = self._build_gp(constraints, multipliers)
                 try:
-                    with trace.span("gp_solve", method=self.gp_method) as gs:
+                    with trace.span("gp_solve") as gs:
                         solution = gp.solve(
                             initial=env or self.circuit.size_table.default_env(),
-                            method=self.gp_method,
                         )
                         gs.set_attrs(
                             status=solution.status,

@@ -154,14 +154,9 @@ class GeometricProgram:
         initial: Optional[Mapping[str, float]] = None,
         tol: float = 1e-8,
         max_iterations: int = 400,
-        method: str = "slsqp",
     ) -> GPSolution:
-        """Solve the GP.  Returns a :class:`GPSolution`.
-
-        ``method`` selects the convex solver: ``"slsqp"`` (SciPy SQP, the
-        default) or ``"barrier"`` — our own log-barrier interior-point
-        method, in the spirit of the paper's reference [7] (Kortanek/Xu/Ye).
-        Both operate on the same log-space convex transform.
+        """Solve the GP with SciPy SLSQP on its log-space convex transform.
+        Returns a :class:`GPSolution`.
 
         Raises :class:`GPInfeasibleError` when even the phase-1 problem cannot
         drive the worst constraint violation near zero.
@@ -206,39 +201,28 @@ class GeometricProgram:
                         f"(max log-violation {worst:.3g})"
                     )
 
-        if method == "barrier":
-            y_opt, iterations, message = _barrier_solve(
-                lse_obj, lse_cons, eq_rows, y0, lower, upper,
-                tol=tol, max_outer=60,
+        constraints = [
+            {"type": "ineq", "fun": c.neg_value, "jac": c.neg_grad}
+            for c in lse_cons
+        ]
+        for (row, rhs), (_, name) in zip(eq_rows, self.equalities):
+            constraints.append(
+                {
+                    "type": "eq",
+                    "fun": (lambda y, row=row, rhs=rhs: row @ y - rhs),
+                    "jac": (lambda y, row=row: row),
+                }
             )
-            result = optimize.OptimizeResult(
-                x=y_opt, nit=iterations, success=True, message=message
-            )
-        elif method == "slsqp":
-            constraints = [
-                {"type": "ineq", "fun": c.neg_value, "jac": c.neg_grad}
-                for c in lse_cons
-            ]
-            for (row, rhs), (_, name) in zip(eq_rows, self.equalities):
-                constraints.append(
-                    {
-                        "type": "eq",
-                        "fun": (lambda y, row=row, rhs=rhs: row @ y - rhs),
-                        "jac": (lambda y, row=row: row),
-                    }
-                )
 
-            result = optimize.minimize(
-                lse_obj.value,
-                y0,
-                jac=lse_obj.grad,
-                bounds=list(zip(lower, upper)),
-                constraints=constraints,
-                method="SLSQP",
-                options={"maxiter": max_iterations, "ftol": tol},
-            )
-        else:
-            raise GPError(f"unknown GP method {method!r}")
+        result = optimize.minimize(
+            lse_obj.value,
+            y0,
+            jac=lse_obj.grad,
+            bounds=list(zip(lower, upper)),
+            constraints=constraints,
+            method="SLSQP",
+            options={"maxiter": max_iterations, "ftol": tol},
+        )
 
         y = np.clip(result.x, lower, upper)
         env = {name: float(math.exp(y[index[name]])) for name in names}
@@ -258,9 +242,7 @@ class GeometricProgram:
 
         metrics.histogram("gp.solver_iterations").observe(int(result.nit))
         metrics.counter(f"gp.status.{status}").inc()
-        trace.add_attrs(
-            variables=len(names), constraints=len(lse_cons), method=method
-        )
+        trace.add_attrs(variables=len(names), constraints=len(lse_cons))
 
         return GPSolution(
             status=status,
@@ -400,14 +382,6 @@ class _LogSumExp:
     def neg_grad(self, y: np.ndarray) -> np.ndarray:
         return -self.grad(y)
 
-    def hess(self, y: np.ndarray) -> np.ndarray:
-        """Hessian of the log-sum-exp: ``A^T (diag(w) - w w^T) A``."""
-        e = self._exponents(y)
-        w = np.exp(e - e.max())
-        w /= w.sum()
-        weighted = self.A * w[:, None]
-        return weighted.T @ self.A - np.outer(w @ self.A, w @ self.A)
-
 
 def _linear_row(
     mono: Monomial, index: Mapping[str, int], width: int
@@ -417,109 +391,3 @@ def _linear_row(
     for name, exp in mono.signature:
         row[index[name]] = exp
     return row, -math.log(mono.coefficient)
-
-
-def _strictify(
-    y: np.ndarray,
-    lse_cons: Sequence[_LogSumExp],
-    lower: np.ndarray,
-    upper: np.ndarray,
-    margin: float = 1e-6,
-) -> np.ndarray:
-    """Push a (weakly) feasible point strictly inside the inequality set so
-    the barrier is finite (box strictness handled by clipping)."""
-    y = np.clip(y, lower + margin, upper - margin)
-    for _ in range(200):
-        values = [c.value(y) for c in lse_cons]
-        worst_idx = int(np.argmax(values)) if values else -1
-        if worst_idx < 0 or values[worst_idx] < -margin:
-            return y
-        grad = lse_cons[worst_idx].grad(y)
-        norm = np.linalg.norm(grad)
-        if norm < 1e-12:
-            return y
-        y = np.clip(y - 0.2 * grad / norm, lower + margin, upper - margin)
-    return y
-
-
-def _barrier_solve(
-    lse_obj: _LogSumExp,
-    lse_cons: Sequence[_LogSumExp],
-    eq_rows: Sequence[Tuple[np.ndarray, float]],
-    y0: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    tol: float = 1e-8,
-    max_outer: int = 60,
-    mu: float = 15.0,
-    eq_penalty: float = 1e5,
-) -> Tuple[np.ndarray, int, str]:
-    """Log-barrier interior-point method on the log-space convex GP.
-
-    Minimizes ``t f0(y) + phi(y)`` by damped Newton with backtracking,
-    increasing ``t`` geometrically until the duality-gap bound ``m/t`` is
-    below tolerance.  Monomial equalities enter as a quadratic penalty
-    (exact enough at ``eq_penalty`` since they are linear in y).
-    Returns ``(y, newton_iterations, message)``.
-    """
-    n = len(y0)
-    y = _strictify(np.asarray(y0, dtype=float), lse_cons, lower, upper)
-    m = len(lse_cons) + 2 * n
-    t = 1.0
-    total_newton = 0
-
-    def value_grad_hess(y: np.ndarray, t: float):
-        val = t * lse_obj.value(y)
-        grad = t * lse_obj.grad(y)
-        hess = t * lse_obj.hess(y)
-        for c in lse_cons:
-            fv = c.value(y)
-            if fv >= 0.0:
-                return math.inf, grad, hess
-            fg = c.grad(y)
-            val -= math.log(-fv)
-            grad += fg / (-fv)
-            hess += c.hess(y) / (-fv) + np.outer(fg, fg) / (fv * fv)
-        dl = y - lower
-        du = upper - y
-        if (dl <= 0).any() or (du <= 0).any():
-            return math.inf, grad, hess
-        val -= float(np.log(dl).sum() + np.log(du).sum())
-        grad += -1.0 / dl + 1.0 / du
-        hess += np.diag(1.0 / dl ** 2 + 1.0 / du ** 2)
-        # The penalty must outgrow t or the objective would buy equality
-        # violations at large t; scaling with t keeps the violation bounded
-        # by |grad f0| / eq_penalty independent of the barrier stage.
-        pen = eq_penalty * t
-        for row, rhs in eq_rows:
-            r = float(row @ y - rhs)
-            val += 0.5 * pen * r * r
-            grad += pen * r * row
-            hess += pen * np.outer(row, row)
-        return val, grad, hess
-
-    for _outer in range(max_outer):
-        for _inner in range(60):
-            val, grad, hess = value_grad_hess(y, t)
-            try:
-                step = np.linalg.solve(hess + 1e-10 * np.eye(n), -grad)
-            except np.linalg.LinAlgError:
-                step = -grad
-            decrement = float(-grad @ step)
-            if decrement / 2.0 < 1e-10:
-                break
-            alpha = 1.0
-            for _ in range(50):
-                candidate = y + alpha * step
-                new_val, _g, _h = value_grad_hess(candidate, t)
-                if new_val < val - 1e-12 * abs(val):
-                    y = candidate
-                    break
-                alpha *= 0.5
-            else:
-                break
-            total_newton += 1
-        if m / t < max(tol, 1e-9):
-            break
-        t *= mu
-    return y, total_newton, f"barrier: t={t:.3g}, newton={total_newton}"

@@ -42,9 +42,9 @@ class TestNoiseMutants:
     """Every seeded mutant fires exactly its intended rule."""
 
     def test_each_mutant_fires_only_its_rule(self):
-        for label, circuit, expected in noise_mutants(TECH):
-            fired = _nsa(_electrical(circuit))
-            assert fired == [expected], (label, fired)
+        for mutant in noise_mutants(TECH):
+            fired = _nsa(_electrical(mutant.circuit, options=mutant.options))
+            assert fired == [mutant.expected_rule], (mutant.label, fired)
 
     def test_undersized_keeper_restore_margin(self):
         report = _electrical(undersized_keeper(TECH))
@@ -149,7 +149,7 @@ class TestCleanCorpusSample:
 class TestIncrementalReplay:
     def test_warm_replay_is_byte_identical(self):
         cache = RuleResultCache()
-        circuits = [c for _, c, _ in noise_mutants(TECH)]
+        circuits = [m.circuit for m in noise_mutants(TECH)]
         cold = [_electrical(c, cache=cache) for c in circuits]
         warm = [_electrical(c, cache=cache) for c in circuits]
         for c_rep, w_rep in zip(cold, warm):

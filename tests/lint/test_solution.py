@@ -12,8 +12,11 @@ from repro.lint.solution import (
     check_certificate,
     widths_digest,
 )
-from repro.lint.solution.corpus import clean_cases
-from repro.lint.solution.mutate import solution_mutants, solved_base
+from repro.lint.solution.mutate import (
+    clean_cases,
+    solution_mutants,
+    solved_base,
+)
 from repro.lint.solution.rules import build_solution_options
 
 OPT_RULES = ("OPT701", "OPT702", "OPT703", "OPT704", "OPT705")
