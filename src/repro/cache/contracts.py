@@ -32,10 +32,8 @@ class ContractStore:
     reuses a shared macro's contract across its instances).
     """
 
-    def __init__(self, path: Optional[str] = None, autosync: bool = True):
-        self._store = JsonlArtifactStore(
-            path, fmt=CONTRACT_STORE_FORMAT, autosync=autosync
-        )
+    def __init__(self, path: Optional[str] = None):
+        self._store = JsonlArtifactStore(path, fmt=CONTRACT_STORE_FORMAT)
         self._by_identity: Dict[str, List[str]] = {}
         for entry in self._store.entries():
             self._index_identity(entry)
@@ -73,9 +71,6 @@ class ContractStore:
         entry = self._store.put(fingerprint, contract)
         self._index_identity(entry)
         return entry
-
-    def flush(self) -> None:
-        self._store.flush()
 
     # -- introspection -----------------------------------------------------
 

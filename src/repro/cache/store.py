@@ -291,13 +291,10 @@ class JsonlArtifactStore:
         self,
         path: Optional[str] = None,
         fmt: str = "smart-artifact/1",
-        autosync: bool = True,
     ):
         self.path = path
         self.format = fmt
-        self.autosync = autosync
         self._entries: Dict[str, dict] = {}
-        self._new: List[dict] = []
         self.skipped_lines = 0
         if path and os.path.exists(path):
             self._load(path)
@@ -332,16 +329,15 @@ class JsonlArtifactStore:
         return self._entries.get(key)
 
     def put(self, key: str, payload: dict) -> dict:
-        """Store ``payload`` under ``key`` (idempotent; persists when
-        autosyncing).  Returns the full entry as indexed."""
+        """Store ``payload`` under ``key`` (idempotent; appended to the
+        backing file at once).  Returns the full entry as indexed."""
         entry = dict(payload)
         entry["key"] = key
         entry["format"] = self.format
         if self._entries.get(key) == entry:
             return entry
         self._entries[key] = entry
-        self._new.append(entry)
-        if self.autosync and self.path:
+        if self.path:
             self._append(entry)
         return entry
 
@@ -355,14 +351,6 @@ class JsonlArtifactStore:
                 )
                 + "\n"
             )
-
-    def flush(self) -> None:
-        """Append all not-yet-persisted entries (for ``autosync=False``)."""
-        if not self.path:
-            return
-        for entry in self._new:
-            self._append(entry)
-        self._new = []
 
     def entries(self) -> List[dict]:
         return list(self._entries.values())

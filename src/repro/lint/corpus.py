@@ -254,7 +254,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     clean, certs, verdicts = run_group(args.group, waivers, rule_cache)
 
     if rule_cache is not None:
-        rule_cache.flush()
         stats = rule_cache.stats
         print(
             f"rule cache: {stats.replayed}/{stats.invocations} replayed "
@@ -268,7 +267,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         store = SolutionCertificateStore(args.certs)
         for cert in certs:
             store.put_payload(cert)
-        store.flush()
         print(f"wrote {len(certs)} certificate(s): {args.certs}")
 
     all_reports = clean + [v.pop("report") for v in verdicts]

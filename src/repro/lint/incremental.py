@@ -131,10 +131,8 @@ class RuleResultCache:
     other store in :mod:`repro.cache`.
     """
 
-    def __init__(self, path: Optional[str] = None, autosync: bool = True):
-        self._store = JsonlArtifactStore(
-            path, fmt=RULE_CACHE_FORMAT, autosync=autosync
-        )
+    def __init__(self, path: Optional[str] = None):
+        self._store = JsonlArtifactStore(path, fmt=RULE_CACHE_FORMAT)
         self.stats = RuleCacheStats()
 
     # -- keys --------------------------------------------------------------
@@ -201,9 +199,6 @@ class RuleResultCache:
     def note_executed(self, wall_s: float) -> None:
         self.stats.executed += 1
         self.stats.wall_executed_s += wall_s
-
-    def flush(self) -> None:
-        self._store.flush()
 
     # -- introspection -----------------------------------------------------
 

@@ -128,10 +128,8 @@ class SolutionCertificateStore:
     enable the engine's certificate-backed exact-hit fast path.
     """
 
-    def __init__(self, path: Optional[str] = None, autosync: bool = True):
-        self._store = JsonlArtifactStore(
-            path, fmt=CERTIFICATE_FORMAT, autosync=autosync
-        )
+    def __init__(self, path: Optional[str] = None):
+        self._store = JsonlArtifactStore(path, fmt=CERTIFICATE_FORMAT)
 
     def get(self, key: str) -> Optional[dict]:
         return self._store.get(key)
@@ -142,9 +140,6 @@ class SolutionCertificateStore:
 
     def put_payload(self, payload: Mapping[str, object]) -> dict:
         return self._store.put(str(payload["key"]), dict(payload))
-
-    def flush(self) -> None:
-        self._store.flush()
 
     def entries(self) -> List[dict]:
         return self._store.entries()

@@ -17,8 +17,7 @@ Three cooperating pieces:
   incremental JSONL stream writer, and the ``repro perf watch`` tail view.
 * :mod:`repro.obs.perf` — the performance observatory: append-only run
   ledger, span-tree attribution (self-time rollups, kernel hot-spots,
-  critical path), Chrome/speedscope flame-graph exports, and the
-  noise-aware ``repro perf diff`` regression engine.
+  critical path), and Chrome/speedscope flame-graph exports.
 
 Typical instrumented call-site::
 
@@ -39,10 +38,8 @@ and typical test::
 from . import metrics, perf, stream, trace
 from .inspect import inspect_file, render_trace_report
 from .perf import (
-    PerfDiff,
     RunLedger,
     attribution,
-    diff_samples,
     get_ledger,
     install_ledger,
     ledger_scope,
@@ -81,9 +78,7 @@ __all__ = [
     "CollectingSubscriber",
     "JsonlStreamWriter",
     "RunLedger",
-    "PerfDiff",
     "attribution",
-    "diff_samples",
     "get_ledger",
     "install_ledger",
     "ledger_scope",

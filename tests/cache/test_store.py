@@ -166,6 +166,14 @@ class TestJsonlArtifactStore:
         assert len(reloaded) == 1
         assert reloaded.get("k1")["value"] == 1
 
+    def test_each_put_writes_one_line(self, tmp_path):
+        path = tmp_path / "art.jsonl"
+        store = self._store(str(path))
+        for i in range(5):
+            store.put(f"k{i}", {"value": i})
+        assert len(path.read_text().splitlines()) == 5
+        assert len(self._store(str(path))) == 5
+
     def test_last_write_wins_on_rewrite(self, tmp_path):
         path = str(tmp_path / "art.jsonl")
         store = self._store(path)

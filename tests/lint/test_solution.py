@@ -107,7 +107,6 @@ def test_clean_corpus_error_free_and_replays_byte_identically(tmp_path):
             findings.extend(
                 serialize_diagnostic(d) for d in report.diagnostics
             )
-        cache.flush()
         return json.dumps(findings, sort_keys=True), cache.stats
 
     cold, cold_stats = sweep()
@@ -186,7 +185,6 @@ def test_certificate_store_roundtrip(tmp_path, base):
     path = str(tmp_path / "certs.jsonl")
     store = SolutionCertificateStore(path)
     store.put_payload(dict(base.certificate))
-    store.flush()
 
     reloaded = SolutionCertificateStore(path)
     assert len(reloaded) == 1
